@@ -14,7 +14,8 @@
 //! * [`gauss_smp`] — LeBlanc's message-passing version \[28,29\]: rows are
 //!   distributed round-robin among P heavyweight processes; the pivot
 //!   owner *sends* the pivot row to the other P−1 processes each step,
-//!   so messages = `P·N`, and reduction happens entirely on local data.
+//!   so messages = `N·(P−1)` (the paper's `P·N` rounds it up), and
+//!   reduction happens entirely on local data.
 //!
 //! The paper's observed anomaly, which experiment FIG5 reproduces: SMP
 //! wins below ~64 processors; beyond 64 the Uniform System's timings stay

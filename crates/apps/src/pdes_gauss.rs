@@ -1,20 +1,20 @@
 //! # Gaussian elimination as a PDES model (experiment T22).
 //!
 //! The same §4.1 workload as `gauss.rs`, re-expressed for the
-//! parallel-in-time engine: each simulated processor is a
+//! event-level PDES engine: each simulated processor is a
 //! [`PdesNode`] state machine, pivot rows travel as timestamped events,
 //! and elimination work is charged as virtual compute delays. Rows are
 //! distributed row-cyclically; the owner of pivot `k` publishes the
-//! reduced row to every other processor (`P·N` messages — the paper's
-//! SMP message count), receivers buffer early pivots and apply them in
-//! order. All cross-node latencies come from
+//! reduced row to every other processor (`N·(P−1)` messages in all —
+//! the same count as `gauss_smp`'s broadcasts), receivers buffer early
+//! pivots and apply them in order. All cross-node latencies come from
 //! [`bfly_machine::PdesTopology`], so they are ≥ the conservative
 //! lookahead by construction.
 //!
 //! The model is a pure function of `(p, n, seed)` — no RNG draws during
 //! the run, no host state — so the PDES determinism contract applies:
-//! serial and windowed-parallel execution produce bit-identical matrices,
-//! timings, message counts and instrumentation logs.
+//! every run, straight or resumed from a snapshot, produces bit-identical
+//! matrices, timings, message counts and instrumentation logs.
 //!
 //! Instrumentation (`--probe`/`--sanitize` replay): each node's rows live
 //! in its own memory region (local row `l` at byte offset
@@ -410,15 +410,10 @@ pub fn pdes_gauss_extract(sim: &PdesSim, p: u32, n: u32) -> PdesGaussResult {
     }
 }
 
-/// One FIG5-style point end to end: build, run (serial for `hosts ≤ 1`,
-/// windowed-parallel otherwise — same bits either way), extract.
-pub fn pdes_gauss(p: u32, n: u32, seed: u64, machine_nodes: u32, hosts: usize) -> PdesGaussResult {
+/// One FIG5-style point end to end: build, run, extract.
+pub fn pdes_gauss(p: u32, n: u32, seed: u64, machine_nodes: u32) -> PdesGaussResult {
     let mut sim = pdes_gauss_sim(p, n, seed, machine_nodes);
-    if hosts <= 1 {
-        sim.run();
-    } else {
-        sim.run_parallel(hosts);
-    }
+    sim.run();
     pdes_gauss_extract(&sim, p, n)
 }
 
@@ -428,66 +423,67 @@ mod tests {
 
     #[test]
     fn solves_the_system() {
-        let r = pdes_gauss(4, 24, 7, 128, 1);
+        let r = pdes_gauss(4, 24, 7, 128);
         assert!(r.max_err < 1e-6, "max_err={}", r.max_err);
         assert_eq!(r.msgs, 24 * 3);
         assert!(r.time_ns > 0);
     }
 
+    /// The PDES model and the futures-engine SMP model (`gauss.rs`) are
+    /// two expressions of one algorithm: on every shared `(N, P)` point
+    /// both must solve the system and send exactly `N·(P−1)` pivot rows.
     #[test]
-    fn serial_and_parallel_are_bit_identical() {
-        let a = pdes_gauss(8, 32, 7, 128, 1);
-        for hosts in [2usize, 3, 4, 8] {
-            let b = pdes_gauss(8, 32, 7, 128, hosts);
-            assert_eq!(a, b, "hosts={hosts}");
+    fn pdes_and_smp_models_agree_on_messages_and_solve() {
+        for (n, p) in [(16u32, 1u16), (24, 4), (32, 8), (48, 16)] {
+            let pdes = pdes_gauss(p as u32, n, 7, 128);
+            let smp = crate::gauss::gauss_smp(p, n, 7);
+            let want = n as u64 * (p as u64 - 1);
+            assert_eq!(pdes.msgs, want, "pdes N={n} P={p}");
+            assert_eq!(smp.comm_ops, want, "smp N={n} P={p}");
+            assert!(pdes.max_err < 1e-9, "pdes N={n} P={p}: {}", pdes.max_err);
+            assert!(smp.max_err < 1e-9, "smp N={n} P={p}: {}", smp.max_err);
         }
     }
 
     #[test]
     fn single_processor_sends_nothing() {
-        let r = pdes_gauss(1, 16, 3, 128, 1);
+        let r = pdes_gauss(1, 16, 3, 128);
         assert!(r.max_err < 1e-6);
         assert_eq!(r.msgs, 0);
     }
 
     #[test]
     fn more_processors_run_faster_until_comm_dominates() {
-        let t1 = pdes_gauss(1, 48, 7, 128, 1).time_ns;
-        let t4 = pdes_gauss(4, 48, 7, 128, 1).time_ns;
-        let t16 = pdes_gauss(16, 48, 7, 128, 1).time_ns;
+        let t1 = pdes_gauss(1, 48, 7, 128).time_ns;
+        let t4 = pdes_gauss(4, 48, 7, 128).time_ns;
+        let t16 = pdes_gauss(16, 48, 7, 128).time_ns;
         assert!(t4 < t1, "p=4 {t4} !< p=1 {t1}");
         assert!(t16 < t4, "p=16 {t16} !< p=4 {t4}");
     }
 
     #[test]
-    fn probed_logs_match_across_hosts() {
-        let run = |hosts: usize| {
+    fn probed_logs_are_reproducible() {
+        let run = || {
             let mut sim = pdes_gauss_sim(6, 20, 5, 64);
             sim.record_log(true);
-            if hosts <= 1 {
-                sim.run();
-            } else {
-                sim.run_parallel(hosts);
-            }
+            sim.run();
             sim.drain_log()
         };
-        let a = run(1);
-        let b = run(4);
+        let a = run();
         assert!(!a.is_empty());
-        assert_eq!(a, b);
+        assert_eq!(a, run());
     }
 
     #[test]
-    fn midrun_snapshot_swaps_engines() {
+    fn midrun_snapshot_resumes_to_the_straight_result() {
         use bfly_sim::pdes::PdesSim;
         let mut whole = pdes_gauss_sim(6, 24, 9, 64);
         whole.run();
         let full = pdes_gauss_extract(&whole, 6, 24);
 
-        let mut par = pdes_gauss_sim(6, 24, 9, 64);
-        let la = par.lookahead();
-        par.run_parallel_until(3, la, 2_000_000);
-        let snap = par.snapshot();
+        let mut part = pdes_gauss_sim(6, 24, 9, 64);
+        part.run_until(2_000_000);
+        let snap = part.snapshot();
         let mut resumed =
             PdesSim::restore(&snap, || pdes_gauss_sim(6, 24, 9, 64)).expect("restores");
         resumed.run();

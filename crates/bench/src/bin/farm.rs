@@ -5,10 +5,7 @@
 //! * `farm ping|stats|shutdown` — liveness, counters, graceful drain.
 //! * `farm submit --exp <name> [--params <json>] [--seed <n>] [--probe]
 //!   [--cache use|bypass|refresh] [--deadline-ms <n>] [--retries <n>]
-//!   [--hosts <n>] [--wait]` — submit one job; `--wait` polls until it
-//!   is terminal. `--hosts` runs the simulation on `n` host workers
-//!   (PDES experiments): pure execution policy, excluded from the cache
-//!   key because results are bit-identical for every value.
+//!   [--wait]` — submit one job; `--wait` polls until it is terminal.
 //! * `farm status --id <n>` — poll one job.
 //! * `farm batch --jobs <file>` — submit a JSON-lines job file (`-` for
 //!   stdin) as one batch; `--cache <mode>` overrides every job's mode.
@@ -101,7 +98,7 @@ fn submit(args: &[String]) -> ! {
             .unwrap_or_else(|(at, m)| fail(&format!("--params is not JSON (at byte {at}): {m}")));
         line.push_str(&format!(r#","params":{params}"#));
     }
-    for flag in ["--seed", "--deadline-ms", "--retries", "--hosts"] {
+    for flag in ["--seed", "--deadline-ms", "--retries"] {
         if let Some(v) = arg_value(args, flag) {
             let _: u64 = v
                 .parse()

@@ -29,10 +29,8 @@
 //!   `--require-sections`, a section the baseline has but this run did
 //!   not produce fails the gate instead of skipping: the CI perf-trend
 //!   job sets it so every schema section stays covered.
-//! * `--pdes-bench` — run the parallel-in-time engine benchmark (PHOLD
-//!   throughput workloads, 2-worker bit-identity pass, and — on
-//!   multi-core hosts — the FIG5 N=384 single-point speedup on
-//!   `--pdes-hosts` workers, default 8) into the report's `pdes`
+//! * `--pdes-bench` — run the PDES engine benchmark (PHOLD throughput
+//!   workloads on the calendar-queue engine) into the report's `pdes`
 //!   section. `--pdes-min-geomean <events/s>` additionally gates on the
 //!   workload geomean (the acceptance floor is 2x the committed serial
 //!   engine headline).
@@ -199,11 +197,8 @@ fn main() {
     let pdes_min_geomean: Option<f64> = arg_value(&args, "--pdes-min-geomean")
         .map(|v| v.parse().expect("--pdes-min-geomean takes events/s"));
     if args.iter().any(|a| a == "--pdes-bench") || pdes_min_geomean.is_some() {
-        let hosts: usize = arg_value(&args, "--pdes-hosts")
-            .map(|v| v.parse().expect("--pdes-hosts takes a count"))
-            .unwrap_or(8);
         eprintln!("running PDES engine benchmark ...");
-        let p = pdes_bench(hosts);
+        let p = pdes_bench();
         for m in &p.metrics {
             eprintln!(
                 "  {:<16} {:>12} events  {:>9.1} ms  {:>8.2} Mevents/s",
@@ -214,26 +209,8 @@ fn main() {
             );
         }
         eprintln!(
-            "  geomean {:.2} Mevents/s, bit_identical: {}",
-            p.geomean_events_per_sec() / 1e6,
-            p.bit_identical
-        );
-        match &p.speedup {
-            None => eprintln!(
-                "  speedup point SKIPPED: single-core host (or --pdes-hosts 1) — \
-                 run on a multi-core machine to measure it"
-            ),
-            Some(s) => eprintln!(
-                "  speedup: {:.1} ms serial -> {:.1} ms on {} hosts = {:.2}x",
-                s.serial.as_secs_f64() * 1e3,
-                s.parallel.as_secs_f64() * 1e3,
-                s.hosts,
-                s.speedup()
-            ),
-        }
-        assert!(
-            p.bit_identical,
-            "PDES determinism contract violated: parallel digest differs from serial"
+            "  geomean {:.2} Mevents/s",
+            p.geomean_events_per_sec() / 1e6
         );
         report.pdes = Some(p);
     }
@@ -293,7 +270,6 @@ fn main() {
             ("cluster", "warm_p99_ms", 1.00, Direction::Lower),
             ("cluster", "lost", 0.00, Direction::Lower),
             ("pdes", "events_per_sec_geomean", 0.25, Direction::Higher),
-            ("pdes", "speedup", 0.30, Direction::Higher),
         ];
         let require_sections = args.iter().any(|a| a == "--require-sections");
         let current_json = report.to_json();

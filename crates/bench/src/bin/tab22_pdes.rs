@@ -1,16 +1,13 @@
 //! T22 — PDES gauss speedup sweep vs Sokolinsky's bound, on the
-//! parallel-in-time engine. Flags: `--quick`, `--stats`, `--probe`,
-//! `--sanitize`, and `--hosts <n>` to run the simulation itself on `n`
-//! host worker threads — the printed table and every PROBE/SAN export
-//! are bit-identical for any `--hosts` value (that invariant is this
-//! experiment's reason to exist; CI diffs the bytes).
+//! event-level PDES engine. Flags: `--quick`, `--stats`, `--probe`,
+//! `--sanitize`. The printed table and every PROBE/SAN export are
+//! byte-reproducible run to run (CI diffs the bytes).
 use bfly_bench::BenchCli;
 
 fn main() {
     let cli = BenchCli::parse("tab22_pdes");
-    let hosts = cli.hosts.unwrap_or(1);
     let probe = cli.begin();
-    let (table, engine) = bfly_bench::experiments::tab22_pdes_at(cli.scale(), hosts);
+    let (table, engine) = bfly_bench::experiments::tab22_pdes_run(cli.scale());
     table.print();
     cli.finish(probe.as_ref(), Some(&engine));
 }

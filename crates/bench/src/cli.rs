@@ -44,10 +44,6 @@ pub struct BenchCli {
     /// Checkpoint/resume file. Defaults to `CKPT_<exp>.snap` when
     /// `--checkpoint-every` is given without `--resume`.
     pub resume: Option<String>,
-    /// Host worker threads for PDES experiments (`--hosts <n>`). An
-    /// execution hint only: results are bit-identical for every value
-    /// (the PDES determinism contract), so it never enters cache keys.
-    pub hosts: Option<usize>,
 }
 
 impl BenchCli {
@@ -67,7 +63,6 @@ impl BenchCli {
             n: None,
             checkpoint_every: None,
             resume: None,
-            hosts: None,
         };
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -97,20 +92,10 @@ impl BenchCli {
                         .unwrap_or_else(|| panic!("{exp}: --resume takes a value"));
                     cli.resume = Some(v);
                 }
-                "--hosts" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| panic!("{exp}: --hosts takes a value"));
-                    let h: usize = v
-                        .parse()
-                        .unwrap_or_else(|_| panic!("{exp}: bad --hosts {v}"));
-                    assert!(h >= 1, "{exp}: --hosts must be >= 1");
-                    cli.hosts = Some(h);
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: {exp} [--quick] [--stats] [--probe] [--sanitize] [--n <size>]\n\
-                         \x20          [--checkpoint-every <events>] [--resume <file>] [--hosts <n>]\n\
+                         \x20          [--checkpoint-every <events>] [--resume <file>]\n\
                          \x20 --quick     reduced problem sizes\n\
                          \x20 --stats     engine-throughput summary line\n\
                          \x20 --probe     write PROBE_{exp}.json + TRACE_{exp}.json\n\
@@ -118,8 +103,7 @@ impl BenchCli {
                          \x20 --n <N>     problem-size override (where supported)\n\
                          \x20 --checkpoint-every <E>  persist a sweep checkpoint every ~E engine\n\
                          \x20             events (experiments with checkpoint support)\n\
-                         \x20 --resume <file>  checkpoint/resume file (default CKPT_{exp}.snap)\n\
-                         \x20 --hosts <n>  PDES host worker threads (results identical for any n)"
+                         \x20 --resume <file>  checkpoint/resume file (default CKPT_{exp}.snap)"
                     );
                     std::process::exit(0);
                 }

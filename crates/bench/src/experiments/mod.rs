@@ -31,7 +31,7 @@ pub use machine_os::{
     tab3_contention_run, tab6_switch, tab6_switch_run,
 };
 pub use models::{tab12_models, tab12_models_run, tab13_linda, tab13_linda_run};
-pub use pdes_x::{tab22_pdes, tab22_pdes_at, tab22_pdes_run};
+pub use pdes_x::{tab22_pdes, tab22_pdes_run};
 pub use replay_x::{tab9_replay, tab9_replay_run};
 pub use san_x::{tab18_races, tab18_races_full, tab18_races_run};
 pub use snapshot_x::{t21_cut_snapshot, t21_resume_from, tab21_snapshot, tab21_snapshot_run};

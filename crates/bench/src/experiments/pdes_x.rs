@@ -1,5 +1,5 @@
-//! T22 — the parallel-in-time engine measured against Sokolinsky's
-//! analytic speedup bound (no direct paper table; ROADMAP item 2).
+//! T22 — the event-level PDES engine measured against Sokolinsky's
+//! analytic speedup bound (no direct paper table).
 //!
 //! The §4.1 Gaussian elimination workload, re-expressed as a conservative
 //! PDES model ([`bfly_apps::pdes_gauss`]): simulated processors are event
@@ -18,10 +18,9 @@
 //! bound and track its shape: rising near-linearly while `C/P` dominates,
 //! flattening once the `N·o` message term takes over.
 //!
-//! Every point asserts the solved system (`max_err`), the exact message
-//! count `N·(P−1)`, and — the tentpole property — that the full-state
-//! digest is independent of the host worker count: the same table, byte
-//! for byte, for any `--hosts`.
+//! Every point asserts the solved system (`max_err`) and the exact message
+//! count `N·(P−1)`, and prints the full-state digest, so any change to
+//! the engine's delivery order shows up as a changed table.
 //!
 //! Under `--probe`/`--sanitize` the deterministic instrumentation log is
 //! replayed into the ambient tools: `MsgSend`/`Hop` become probe message
@@ -44,18 +43,11 @@ pub const SEED: u64 = 7;
 
 /// T22 — PDES gauss speedup sweep vs the analytic bound.
 pub fn tab22_pdes(scale: Scale) -> Table {
-    tab22_pdes_at(scale, 1).0
+    tab22_pdes_run(scale).0
 }
 
 /// [`tab22_pdes`] plus aggregated engine counters (for `--stats`).
 pub fn tab22_pdes_run(scale: Scale) -> (Table, EngineStats) {
-    tab22_pdes_at(scale, 1)
-}
-
-/// Full form: run the sweep on `hosts` worker threads. The table is
-/// bit-identical for every `hosts` value — that is the point — so `hosts`
-/// is an execution hint, never an input.
-pub fn tab22_pdes_at(scale: Scale, hosts: usize) -> (Table, EngineStats) {
     let n: u32 = scale.pick(384, 48);
     let machine: u32 = scale.pick(512, 128);
     let ps: Vec<u32> = scale.pick(vec![1, 16, 32, 64, 128, 256, 384], vec![1, 8, 16, 32]);
@@ -89,11 +81,7 @@ pub fn tab22_pdes_at(scale: Scale, hosts: usize) -> (Table, EngineStats) {
         if replaying {
             sim.record_log(true);
         }
-        let stats = if hosts <= 1 {
-            sim.run()
-        } else {
-            sim.run_parallel(hosts)
-        };
+        let stats = sim.run();
         let r = pdes_gauss_extract(&sim, p, n);
         check_point(&r, n, p);
         if replaying {
@@ -150,9 +138,8 @@ fn check_point(r: &PdesGaussResult, n: u32, p: u32) {
 }
 
 /// Replay one point's merged instrumentation log into the ambient probe
-/// and sanitizer. The log is a pure function of `(p, n, seed)` — identical
-/// for serial and every parallel execution — so PROBE/SAN exports are
-/// bit-identical across `--hosts` too.
+/// and sanitizer. The log is a pure function of `(p, n, seed)`, so
+/// PROBE/SAN exports are byte-reproducible too.
 fn replay_log(log: &[LogRec], point: usize, p: u32, n: u32, topo: &PdesTopology) {
     // Probe node counters are sized for the real machine (256 nodes); the
     // full-scale sweep simulates more processors than that, so the probe
@@ -243,45 +230,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quick_table_is_host_independent() {
-        let (a, _) = tab22_pdes_at(Scale::quick(), 1);
-        let (b, _) = tab22_pdes_at(Scale::quick(), 4);
+    fn quick_table_is_reproducible() {
+        let (a, _) = tab22_pdes_run(Scale::quick());
+        let (b, _) = tab22_pdes_run(Scale::quick());
         assert_eq!(a.render(), b.render());
     }
 
     #[test]
-    fn san_replay_is_clean_and_host_independent() {
-        let run = |hosts: usize| {
+    fn san_replay_is_clean_and_reproducible() {
+        let run = || {
             let prev = bfly_san::install_ambient(Some(bfly_san::Sanitizer::new()));
-            let (t, _) = tab22_pdes_at(Scale::quick(), hosts);
+            let (t, _) = tab22_pdes_run(Scale::quick());
             let san = bfly_san::install_ambient(prev).expect("san installed above");
             (t, san)
         };
-        let (_, sa) = run(1);
+        let (_, sa) = run();
         assert!(
             sa.is_clean(),
             "PDES replay must be race-free: {} {:?}",
             sa.verdict_line(),
             sa.race_fingerprint()
         );
-        let (_, sb) = run(2);
+        let (_, sb) = run();
         assert_eq!(sa.report_json("t22"), sb.report_json("t22"));
     }
 
     #[test]
-    fn probe_replay_counts_messages_and_is_host_independent() {
-        let run = |hosts: usize| {
+    fn probe_replay_counts_messages_and_is_reproducible() {
+        let run = || {
             let prev = bfly_probe::install_ambient(Some(bfly_probe::Probe::new()));
-            let (_, _) = tab22_pdes_at(Scale::quick(), hosts);
+            let (_, _) = tab22_pdes_run(Scale::quick());
             bfly_probe::install_ambient(prev).expect("probe installed above")
         };
-        let pa = run(1);
+        let pa = run();
         // Quick scale: N=48, ps=[1,8,16,32] → Σ N·(P−1) messages.
         let want: u64 = [1u64, 8, 16, 32].iter().map(|p| 48 * (p - 1)).sum();
         let sent: u64 = (0u16..48).map(|q| pa.node(q).msgs_sent.get()).sum();
         assert_eq!(sent, want);
         assert!(pa.switch_hops() > 0);
-        let pb = run(4);
+        let pb = run();
         assert_eq!(pa.summary_json("t22"), pb.summary_json("t22"));
     }
 }

@@ -159,16 +159,7 @@ impl Registry {
             "tab21_snapshot" => Ok(plain(experiments::tab21_snapshot_run(Self::scale_of(
                 params,
             )?))),
-            "tab22_pdes" => {
-                // `hosts` is the top-level serving knob (JobSpec::hosts),
-                // not a param: results are bit-identical for every value,
-                // so it stays out of the cache key and the result bytes.
-                let hosts = spec.hosts.unwrap_or(1) as usize;
-                Ok(plain(experiments::tab22_pdes_at(
-                    Self::scale_of(params)?,
-                    hosts,
-                )))
-            }
+            "tab22_pdes" => Ok(plain(experiments::tab22_pdes_run(Self::scale_of(params)?))),
             other => Err(format!("unknown experiment `{other}`")),
         }
     }
@@ -603,26 +594,6 @@ mod tests {
         assert!(v.get("table").and_then(|t| t.get("rows")).is_some());
         assert!(v.get("run").and_then(|r| r.get("events")).is_some());
         assert!(v.get("probe").unwrap().is_null());
-    }
-
-    #[test]
-    fn pdes_job_bytes_and_key_are_hosts_independent() {
-        let parse_spec = |s: &str| JobSpec::from_value(&json::parse(s).unwrap()).unwrap();
-        let serial = parse_spec(r#"{"exp":"tab22_pdes","params":{"quick":true},"seed":7}"#);
-        let par = parse_spec(r#"{"exp":"tab22_pdes","params":{"quick":true},"seed":7,"hosts":4}"#);
-        assert_eq!(
-            serial.key(bfly_sim::ENGINE_VERSION),
-            par.key(bfly_sim::ENGINE_VERSION),
-            "hosts must not enter the cache identity"
-        );
-        let a = Registry.run(&serial).unwrap();
-        let b = Registry.run(&par).unwrap();
-        assert_eq!(a, b, "tab22_pdes result bytes must be hosts-independent");
-        let s = String::from_utf8(a).unwrap();
-        assert!(
-            !s.contains("hosts"),
-            "hosts must not leak into result bytes"
-        );
     }
 
     #[test]

@@ -123,51 +123,19 @@ pub struct PerfReport {
     /// Sharded-cluster latency benchmark (`perf_report --cluster-bench`);
     /// absent when the router wasn't exercised.
     pub cluster: Option<crate::cluster::ClusterBenchResult>,
-    /// Parallel-in-time engine benchmark (`perf_report --pdes-bench`);
-    /// absent when the PDES engine wasn't exercised.
+    /// PDES engine benchmark (`perf_report --pdes-bench`); absent when
+    /// the PDES engine wasn't exercised.
     pub pdes: Option<PdesBench>,
 }
 
-/// Host-parallel speedup of one pinned PDES point (FIG5 N=384 on a
-/// 512-node machine): the same simulation run serially and on `hosts`
-/// worker threads, bit-identity asserted along the way.
-#[derive(Debug, Clone)]
-pub struct PdesSpeedup {
-    /// Host worker threads of the parallel leg.
-    pub hosts: usize,
-    /// Serial (`hosts = 1`) wall-clock.
-    pub serial: Duration,
-    /// Parallel wall-clock on `hosts` workers.
-    pub parallel: Duration,
-}
-
-impl PdesSpeedup {
-    /// Serial-over-parallel wall ratio.
-    pub fn speedup(&self) -> f64 {
-        let p = self.parallel.as_secs_f64();
-        if p > 0.0 {
-            self.serial.as_secs_f64() / p
-        } else {
-            0.0
-        }
-    }
-}
-
-/// The `pdes` report section: raw event-loop throughput of the
-/// parallel-in-time engine (PHOLD workloads — every event is one heap
-/// pop, handler, RNG draw, and push, so events/s measures the engine,
-/// not application arithmetic), plus the single-point host-parallel
-/// speedup when the host has cores to measure it on.
+/// The `pdes` report section: raw event-loop throughput of the PDES
+/// engine (PHOLD workloads — every event is one queue pop, handler, RNG
+/// draw, and push, so events/s measures the engine, not application
+/// arithmetic).
 #[derive(Debug, Clone)]
 pub struct PdesBench {
-    /// Per-workload serial-engine throughput.
+    /// Per-workload engine throughput.
     pub metrics: Vec<Metric>,
-    /// Host-parallel speedup point; `None` on single-core hosts (the
-    /// measurement would be noise, not signal).
-    pub speedup: Option<PdesSpeedup>,
-    /// Every workload re-run on 2 host workers produced bit-identical
-    /// state digests (the determinism contract, asserted at bench time).
-    pub bit_identical: bool,
 }
 
 impl PdesBench {
@@ -363,10 +331,8 @@ impl PerfReport {
             Some(p) => {
                 let _ = write!(
                     out,
-                    "{{\"events_per_sec_geomean\": {:.0}, \"bit_identical\": {}, \
-                     \"microbench\": [",
-                    p.geomean_events_per_sec(),
-                    p.bit_identical
+                    "{{\"events_per_sec_geomean\": {:.0}, \"microbench\": [",
+                    p.geomean_events_per_sec()
                 );
                 for (i, m) in p.metrics.iter().enumerate() {
                     if i > 0 {
@@ -382,22 +348,7 @@ impl PerfReport {
                         m.events_per_sec()
                     );
                 }
-                out.push_str("], \"speedup\": ");
-                match &p.speedup {
-                    None => out.push_str("null"),
-                    Some(s) => {
-                        let _ = write!(
-                            out,
-                            "{{\"hosts\": {}, \"serial_wall_ms\": {:.1}, \
-                             \"parallel_wall_ms\": {:.1}, \"speedup\": {:.2}}}",
-                            s.hosts,
-                            s.serial.as_secs_f64() * 1e3,
-                            s.parallel.as_secs_f64() * 1e3,
-                            s.speedup().min(1e6)
-                        );
-                    }
-                }
-                out.push('}');
+                out.push_str("]}");
             }
         }
         out.push_str(",\n  \"tables\": [");
@@ -500,9 +451,9 @@ pub fn parse_section_field(json: &str, section: &str, field: &str) -> Option<f64
         return None;
     }
     // Take the first occurrence of the key that is followed by a number:
-    // a key can name both an object and a scalar inside it (the `pdes`
-    // section's `"speedup": {..., "speedup": 6.00}`), and a `null` slot
-    // must read as absent, not as a parse of the word `null`.
+    // a key can name both an object and a scalar inside it
+    // (`"leg": {..., "leg": 6.00}`), and a `null` slot must read as
+    // absent, not as a parse of the word `null`.
     let fkey = format!("\"{field}\":");
     loop {
         let f = rest.find(&fkey)? + fkey.len();
@@ -564,11 +515,9 @@ pub fn check_section(
     }
 }
 
-/// Run the PDES engine benchmark: PHOLD throughput workloads (serial
-/// engine), a 2-worker bit-identity pass over each, and — when the host
-/// has at least two cores — the FIG5 N=384 single-point host-parallel
-/// speedup on `min(hosts, available cores)` workers.
-pub fn pdes_bench(hosts: usize) -> PdesBench {
+/// Run the PDES engine benchmark: PHOLD throughput workloads, each timed
+/// after one warm-up run.
+pub fn pdes_bench() -> PdesBench {
     use bfly_apps::phold::phold_sim;
 
     // (name, nodes, jobs/node, hops): ~1.2M events each, shaped to
@@ -580,7 +529,6 @@ pub fn pdes_bench(hosts: usize) -> PdesBench {
         ("phold_deep_256", 256, 16, 300),
     ];
     let mut metrics = Vec::new();
-    let mut bit_identical = true;
     for (name, nodes, jobs, hops) in shapes {
         let build = || phold_sim(11, nodes, jobs, hops, 4_000);
         let mut warm = build();
@@ -589,42 +537,13 @@ pub fn pdes_bench(hosts: usize) -> PdesBench {
         let t = std::time::Instant::now();
         let stats = sim.run();
         let wall = t.elapsed();
-        let mut par = build();
-        par.run_parallel(2);
-        bit_identical &= par.state_digest() == sim.state_digest();
         metrics.push(Metric {
             name: name.to_string(),
             events: stats.events,
             wall,
         });
     }
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let speedup = if cores >= 2 && hosts >= 2 {
-        let hosts = hosts.min(cores);
-        let point = || bfly_apps::pdes_gauss::pdes_gauss_sim(256, 384, 7, 512);
-        let mut serial = point();
-        let t = std::time::Instant::now();
-        serial.run();
-        let serial_wall = t.elapsed();
-        let mut par = point();
-        let t = std::time::Instant::now();
-        par.run_parallel(hosts);
-        let parallel_wall = t.elapsed();
-        bit_identical &= par.state_digest() == serial.state_digest();
-        Some(PdesSpeedup {
-            hosts,
-            serial: serial_wall,
-            parallel: parallel_wall,
-        })
-    } else {
-        None
-    };
-    PdesBench {
-        metrics,
-        speedup,
-        bit_identical,
-    }
+    PdesBench { metrics }
 }
 
 /// Run the standard engine micro-benchmarks. Deterministic workloads, so
@@ -800,21 +719,21 @@ mod tests {
     fn section_scanner_and_gate_cover_nested_and_null_slots() {
         let base = r#"{"serve": {"cold_wall_ms": 100.0, "warm_wall_ms": 2.0},
             "pdes": {"events_per_sec_geomean": 30000000,
-                     "speedup": {"hosts": 8, "speedup": 6.00}}}"#;
+                     "leg": {"workers": 8, "leg": 6.00}}}"#;
         assert_eq!(
             parse_section_field(base, "serve", "cold_wall_ms"),
             Some(100.0)
         );
-        assert_eq!(parse_section_field(base, "pdes", "speedup"), Some(6.0));
-        assert_eq!(parse_section_field(base, "pdes", "hosts"), Some(8.0));
+        assert_eq!(parse_section_field(base, "pdes", "leg"), Some(6.0));
+        assert_eq!(parse_section_field(base, "pdes", "workers"), Some(8.0));
         assert_eq!(parse_section_field(base, "cluster", "lost"), None);
-        let nulled = r#"{"serve": null, "pdes": {"speedup": null}}"#;
+        let nulled = r#"{"serve": null, "pdes": {"leg": null}}"#;
         assert_eq!(parse_section_field(nulled, "serve", "cold_wall_ms"), None);
-        assert_eq!(parse_section_field(nulled, "pdes", "speedup"), None);
+        assert_eq!(parse_section_field(nulled, "pdes", "leg"), None);
 
         let slower = r#"{"serve": {"cold_wall_ms": 200.0},
             "pdes": {"events_per_sec_geomean": 10000000,
-                     "speedup": {"hosts": 8, "speedup": 6.00}}}"#;
+                     "leg": {"workers": 8, "leg": 6.00}}}"#;
         // Lower-is-better: 200 vs 100 baseline fails at 50% tolerance.
         assert!(
             check_section(base, slower, "serve", "cold_wall_ms", 0.5, Direction::Lower).is_err()

@@ -28,6 +28,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bfly_farmd::json::{self, push_json_str, Value};
+use bfly_farmd::server::{error_reply, parse_wait, DEFAULT_MAX_RECORDS};
 use bfly_farmd::JobSpec;
 
 use crate::conn::ShardConn;
@@ -123,9 +124,20 @@ struct RJob {
     reroutes: u32,
 }
 
+/// Terminal job records the router keeps answerable for `status`/`wait`;
+/// older ones are evicted oldest-first, as a farmd shard does with its
+/// default `max_records`, so a long-running router holds bounded memory.
+const MAX_TERMINAL_RECORDS: usize = DEFAULT_MAX_RECORDS;
+
 #[derive(Default)]
 struct Counters {
     submitted: AtomicU64,
+    /// Terminal outcomes, bumped once per job at its first terminal
+    /// transition ([`settle`]), under the jobs lock — they outlive the
+    /// evicted records, so `lost` stays exact.
+    done: AtomicU64,
+    failed: AtomicU64,
+    resumed: AtomicU64,
     rerouted: AtomicU64,
     duplicates: AtomicU64,
     unroutable: AtomicU64,
@@ -180,6 +192,9 @@ struct Shared {
     /// namespace); the prober records the first one seen.
     engine_version: AtomicU32,
     jobs: Mutex<HashMap<u64, RJob>>,
+    /// Ids of terminal records in completion order (eviction ring for
+    /// `jobs`); only touched with the jobs lock held.
+    terminal_ring: Mutex<VecDeque<u64>>,
     done_cv: Condvar,
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
@@ -266,6 +281,7 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
         ring,
         engine_version: AtomicU32::new(0),
         jobs: Mutex::new(HashMap::new()),
+        terminal_ring: Mutex::new(VecDeque::new()),
         done_cv: Condvar::new(),
         queue: Mutex::new(VecDeque::new()),
         queue_cv: Condvar::new(),
@@ -469,8 +485,8 @@ fn dispatch_group(sh: &Arc<Shared>, ids: Vec<u64>) {
 /// here; everything else lands in `slow`. A transport error anywhere
 /// desynchronizes the stream, so the connection is dropped and the
 /// unresolved tail goes slow — re-sending is safe because execution is
-/// deterministic and cache-keyed, and [`record_done`]'s at-most-once
-/// guard absorbs any raced duplicate.
+/// deterministic and cache-keyed, and [`settle`]'s at-most-once guard
+/// absorbs any raced duplicate.
 fn forward_group(sh: &Arc<Shared>, idx: usize, group: Vec<GroupJob>, slow: &mut Vec<u64>) {
     let io_t = Duration::from_millis(sh.config.attempt_timeout_ms.max(1));
     let pooled = sh.pool.take(idx).filter(|c| c.set_io_timeout(io_t).is_ok());
@@ -544,40 +560,19 @@ fn forward_group(sh: &Arc<Shared>, idx: usize, group: Vec<GroupJob>, slow: &mut 
     {
         let mut jobs = locked(&sh.jobs);
         for (gi, outcome) in recorded {
-            let Some(rec) = jobs.get_mut(&group[gi].id) else {
-                continue;
-            };
-            if rec.state.terminal() {
-                sh.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match outcome {
-                Outcome::Done {
-                    raw,
-                    cached,
-                    resumed,
-                    wall_ms,
-                } => {
-                    let raw = Arc::new(raw);
-                    if !cached {
-                        to_replicate.push((gi, Arc::clone(&raw)));
-                    }
-                    rec.state = RState::Done {
-                        raw,
-                        cached,
-                        resumed,
-                        wall_ms,
-                    };
+            let (state, fresh) = outcome.settled();
+            if settle(sh, &mut jobs, group[gi].id, state) {
+                if let Some(raw) = fresh {
+                    to_replicate.push((gi, raw));
                 }
-                Outcome::Failed { verdict, error } => {
-                    rec.state = RState::Failed { verdict, error };
-                }
-                Outcome::Transient(_) => unreachable!("filtered in the read loop"),
             }
         }
     }
     if terminal {
-        // One broadcast for the whole bucket (see record_done_quiet).
+        // One broadcast for the whole bucket: per-job `notify_all` wakes
+        // every long-poll waiter per completion, and each wakeup rescans
+        // its id set under the jobs mutex — at serving rates that
+        // contention was the throughput ceiling, not the shard round trip.
         sh.done_cv.notify_all();
     }
     for (gi, raw) in to_replicate {
@@ -604,6 +599,34 @@ enum Outcome {
     },
     /// Worth failing over: the *shard* failed, not the job.
     Transient(String),
+}
+
+impl Outcome {
+    /// The terminal state a non-transient outcome records, plus the
+    /// result bytes to replicate (fresh results only; hits are already
+    /// on their replicas).
+    fn settled(self) -> (RState, Option<Arc<String>>) {
+        match self {
+            Outcome::Done {
+                raw,
+                cached,
+                resumed,
+                wall_ms,
+            } => {
+                let raw = Arc::new(raw);
+                let fresh = (!cached).then(|| Arc::clone(&raw));
+                let state = RState::Done {
+                    raw,
+                    cached,
+                    resumed,
+                    wall_ms,
+                };
+                (state, fresh)
+            }
+            Outcome::Failed { verdict, error } => (RState::Failed { verdict, error }, None),
+            Outcome::Transient(_) => unreachable!("transient outcomes fail over, never settle"),
+        }
+    }
 }
 
 /// Errors that mean "try another shard", not "the job is bad".
@@ -703,28 +726,21 @@ fn dispatch(sh: &Arc<Shared>, id: u64) {
                 reroute_counted = true;
             }
             match forward(sh, idx, &line, remaining) {
-                Outcome::Done {
-                    raw,
-                    cached,
-                    resumed,
-                    wall_ms,
-                } => {
-                    let raw = Arc::new(raw);
-                    if record_done(sh, id, Arc::clone(&raw), cached, resumed, wall_ms) && !cached {
-                        replicate(sh, &key, &raw, idx);
-                    }
-                    return;
-                }
-                Outcome::Failed { verdict, error } => {
-                    record_failed(sh, id, &verdict, &error);
-                    return;
-                }
                 Outcome::Transient(e) => {
                     // The prober owns eviction; a dispatcher only files
                     // the evidence.
                     let _ = locked(&sh.shards[idx].health).record_fail(&sh.config.health);
                     last_err = e;
                     progressed = true;
+                }
+                outcome => {
+                    let (state, fresh) = outcome.settled();
+                    if record(sh, id, state) {
+                        if let Some(raw) = fresh {
+                            replicate(sh, &key, &raw, idx);
+                        }
+                    }
+                    return;
                 }
             }
         }
@@ -733,11 +749,13 @@ fn dispatch(sh: &Arc<Shared>, id: u64) {
         }
     }
     sh.counters.unroutable.fetch_add(1, Ordering::Relaxed);
-    record_failed(
+    record(
         sh,
         id,
-        "deadline_expired",
-        &format!("unroutable after {} ms: {last_err}", budget.as_millis()),
+        RState::Failed {
+            verdict: "deadline_expired".into(),
+            error: format!("unroutable after {} ms: {last_err}", budget.as_millis()),
+        },
     );
 }
 
@@ -846,36 +864,20 @@ fn classify_reply(addr: &str, raw: &str) -> Outcome {
     }
 }
 
-/// Record a `done` verdict exactly once. Returns false (and counts a
-/// duplicate) if the job already reached a terminal state — the
-/// at-most-once delivery guard for raced failovers.
-fn record_done(
-    sh: &Arc<Shared>,
-    id: u64,
-    raw: Arc<String>,
-    cached: bool,
-    resumed: bool,
-    wall_ms: f64,
-) -> bool {
-    let hit = record_done_quiet(sh, id, raw, cached, resumed, wall_ms);
+/// Record a job's terminal verdict and wake the waiters. Returns false
+/// if the job already had one (see [`settle`]).
+fn record(sh: &Arc<Shared>, id: u64, state: RState) -> bool {
+    let first = settle(sh, &mut locked(&sh.jobs), id, state);
     sh.done_cv.notify_all();
-    hit
+    first
 }
 
-/// [`record_done`] without the condvar broadcast. The pipelined group
-/// path records a whole bucket and notifies once: per-job `notify_all`
-/// wakes every long-poll waiter per completion, and each wakeup rescans
-/// its id set under the jobs mutex — at serving rates that contention
-/// was the throughput ceiling, not the shard round trip.
-fn record_done_quiet(
-    sh: &Arc<Shared>,
-    id: u64,
-    raw: Arc<String>,
-    cached: bool,
-    resumed: bool,
-    wall_ms: f64,
-) -> bool {
-    let mut jobs = locked(&sh.jobs);
+/// The single terminal transition, called with the jobs lock held: the
+/// first terminal verdict wins, and a later one (a raced failover's
+/// late reply) is counted as a duplicate and dropped — at-most-once
+/// delivery. The outcome counters are bumped here, once per job, and
+/// the record joins the eviction ring.
+fn settle(sh: &Shared, jobs: &mut HashMap<u64, RJob>, id: u64, state: RState) -> bool {
     let Some(rec) = jobs.get_mut(&id) else {
         return false;
     };
@@ -883,31 +885,38 @@ fn record_done_quiet(
         sh.counters.duplicates.fetch_add(1, Ordering::Relaxed);
         return false;
     }
-    rec.state = RState::Done {
-        raw,
-        cached,
-        resumed,
-        wall_ms,
-    };
+    let c = &sh.counters;
+    match state {
+        RState::Done { resumed, .. } => {
+            c.done.fetch_add(1, Ordering::Relaxed);
+            c.resumed.fetch_add(resumed as u64, Ordering::Relaxed);
+        }
+        RState::Failed { .. } => {
+            c.failed.fetch_add(1, Ordering::Relaxed);
+        }
+        RState::Queued | RState::Routing => unreachable!("settle takes a terminal state"),
+    }
+    rec.state = state;
+    evict_terminal(
+        jobs,
+        &mut locked(&sh.terminal_ring),
+        id,
+        MAX_TERMINAL_RECORDS,
+    );
     true
 }
 
-fn record_failed(sh: &Arc<Shared>, id: u64, verdict: &str, error: &str) {
-    record_failed_quiet(sh, id, verdict, error);
-    sh.done_cv.notify_all();
-}
-
-fn record_failed_quiet(sh: &Arc<Shared>, id: u64, verdict: &str, error: &str) {
-    let mut jobs = locked(&sh.jobs);
-    let Some(rec) = jobs.get_mut(&id) else { return };
-    if rec.state.terminal() {
-        sh.counters.duplicates.fetch_add(1, Ordering::Relaxed);
-        return;
+/// Append `id` to the terminal ring and evict the oldest terminal
+/// records past `cap`. Only terminal ids enter the ring, so eviction
+/// drops answerable history, never a live job; `status` on an evicted
+/// id answers `no such job`, and `wait` treats it as terminal.
+fn evict_terminal(jobs: &mut HashMap<u64, RJob>, ring: &mut VecDeque<u64>, id: u64, cap: usize) {
+    ring.push_back(id);
+    while ring.len() > cap {
+        if let Some(old) = ring.pop_front() {
+            jobs.remove(&old);
+        }
     }
-    rec.state = RState::Failed {
-        verdict: verdict.to_string(),
-        error: error.to_string(),
-    };
 }
 
 /// Copy a freshly computed result to the key's other serving replicas,
@@ -1049,13 +1058,6 @@ fn connection_loop(sh: &Arc<Shared>, stream: TcpStream) {
     }
 }
 
-fn error_reply(msg: &str) -> String {
-    let mut out = String::from("{\"ok\":false,\"error\":");
-    push_json_str(&mut out, msg);
-    out.push('}');
-    out
-}
-
 fn handle_request(sh: &Arc<Shared>, line: &str) -> String {
     // Shed load before parsing: under sustained overload the refused
     // share of submits would otherwise pay the full JSON parse just to
@@ -1124,15 +1126,20 @@ fn admit(sh: &Arc<Shared>, spec: JobSpec) -> Result<u64, String> {
         }
     }
     let id = sh.next_id.fetch_add(1, Ordering::Relaxed);
-    sh.counters.submitted.fetch_add(1, Ordering::Relaxed);
-    locked(&sh.jobs).insert(
-        id,
-        RJob {
-            spec,
-            state: RState::Queued,
-            reroutes: 0,
-        },
-    );
+    {
+        // Counted under the jobs lock, like every terminal transition,
+        // so a `stats` snapshot never sees a submission without its job.
+        let mut jobs = locked(&sh.jobs);
+        sh.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        jobs.insert(
+            id,
+            RJob {
+                spec,
+                state: RState::Queued,
+                reroutes: 0,
+            },
+        );
+    }
     locked(&sh.queue).push_back(id);
     sh.queue_cv.notify_one();
     Ok(id)
@@ -1197,35 +1204,8 @@ fn handle_batch(sh: &Arc<Shared>, jobs: &[Value]) -> String {
     out
 }
 
-/// `wait` bounds, mirroring farmd's (the router is protocol-compatible
-/// with a single daemon, so the verbs must agree on limits and shape).
-const MAX_WAIT_IDS: usize = 4096;
-const DEFAULT_WAIT_TIMEOUT_MS: u64 = 30_000;
-const MAX_WAIT_TIMEOUT_MS: u64 = 600_000;
-
-fn parse_wait(v: &Value) -> Result<(Vec<u64>, u64), String> {
-    let Some(ids_v) = v.get("ids").and_then(Value::as_arr) else {
-        return Err("wait needs an `ids` array".into());
-    };
-    if ids_v.len() > MAX_WAIT_IDS {
-        return Err(format!("wait supports at most {MAX_WAIT_IDS} ids"));
-    }
-    let mut ids = Vec::with_capacity(ids_v.len());
-    for x in ids_v {
-        match x.as_u64() {
-            Some(id) => ids.push(id),
-            None => return Err("wait ids must be unsigned integers".into()),
-        }
-    }
-    let timeout_ms = v
-        .get("timeout_ms")
-        .and_then(Value::as_u64)
-        .unwrap_or(DEFAULT_WAIT_TIMEOUT_MS)
-        .min(MAX_WAIT_TIMEOUT_MS);
-    Ok((ids, timeout_ms))
-}
-
-/// The router-side long-poll: block on the done condvar until every
+/// The router-side long-poll (request parsing and its limits are
+/// farmd's own [`parse_wait`], so the two verbs cannot drift apart): block on the done condvar until every
 /// watched id is terminal (dispatchers route jobs to terminal states in
 /// the background) or the timeout lapses. Farmd-shaped reply, so a
 /// cluster client on the `wait` path cannot tell a router from a single
@@ -1399,30 +1379,31 @@ fn status_object(jobs: &HashMap<u64, RJob>, id: u64) -> String {
 
 fn stats_reply(sh: &Arc<Shared>) -> String {
     let c = &sh.counters;
-    // One consistent snapshot of job states under the jobs lock; `lost`
-    // is submitted minus everything accounted for, and the cluster
-    // invariant (chaos-tested) is that it is always 0.
-    let (done, failed, queued, routing, resumed) = {
+    // One consistent snapshot under the jobs lock: submissions and
+    // terminal outcomes are counted under it, live jobs are counted from
+    // the table (terminal records may have been evicted, live ones never
+    // are). `lost` is submitted minus everything accounted for, and the
+    // cluster invariant (chaos-tested) is that it is always 0.
+    let (submitted, done, failed, resumed, queued, routing) = {
         let jobs = locked(&sh.jobs);
-        let mut done = 0u64;
-        let mut failed = 0u64;
         let mut queued = 0u64;
         let mut routing = 0u64;
-        let mut resumed = 0u64;
         for rec in jobs.values() {
             match rec.state {
-                RState::Done { resumed: r, .. } => {
-                    done += 1;
-                    resumed += r as u64;
-                }
-                RState::Failed { .. } => failed += 1,
                 RState::Queued => queued += 1,
                 RState::Routing => routing += 1,
+                RState::Done { .. } | RState::Failed { .. } => {}
             }
         }
-        (done, failed, queued, routing, resumed)
+        (
+            c.submitted.load(Ordering::Relaxed),
+            c.done.load(Ordering::Relaxed),
+            c.failed.load(Ordering::Relaxed),
+            c.resumed.load(Ordering::Relaxed),
+            queued,
+            routing,
+        )
     };
-    let submitted = c.submitted.load(Ordering::Relaxed);
     let lost = submitted.saturating_sub(done + failed + queued + routing);
     let mut shards_json = String::from("[");
     for (i, s) in sh.shards.iter().enumerate() {
@@ -1465,4 +1446,41 @@ fn stats_reply(sh: &Arc<Shared>) -> String {
         c.cache_pushes.load(Ordering::Relaxed),
         shards_json
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job(state: RState) -> RJob {
+        let spec = JobSpec::from_value(&json::parse(r#"{"exp":"e"}"#).unwrap()).unwrap();
+        RJob {
+            spec,
+            state,
+            reroutes: 0,
+        }
+    }
+
+    fn failed() -> RState {
+        RState::Failed {
+            verdict: "failed".into(),
+            error: String::new(),
+        }
+    }
+
+    #[test]
+    fn eviction_drops_oldest_terminal_records_past_the_cap() {
+        let mut jobs: HashMap<u64, RJob> = HashMap::new();
+        let mut ring = VecDeque::new();
+        jobs.insert(100, job(RState::Queued));
+        jobs.insert(101, job(RState::Routing));
+        for id in 1..=5 {
+            jobs.insert(id, job(failed()));
+            evict_terminal(&mut jobs, &mut ring, id, 3);
+        }
+        let mut left: Vec<u64> = jobs.keys().copied().collect();
+        left.sort_unstable();
+        assert_eq!(left, [3, 4, 5, 100, 101], "live jobs are never evicted");
+        assert_eq!(ring, [3, 4, 5]);
+    }
 }

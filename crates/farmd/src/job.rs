@@ -51,13 +51,6 @@ pub struct JobSpec {
     /// Attach a `bfly-probe` to the run (forces the job's sweeps onto a
     /// serial shard; see DESIGN.md §12).
     pub probe: bool,
-    /// Host worker threads for experiments with a parallel-in-time
-    /// engine (`None` = runner default). A **serving knob**, not a job
-    /// input: the PDES determinism contract guarantees bit-identical
-    /// results for every value, so — like `deadline_ms` — it is
-    /// deliberately excluded from [`JobSpec::key`] and from the params
-    /// echoed in result bytes.
-    pub hosts: Option<u32>,
     /// Cache interaction.
     pub cache: CacheMode,
 }
@@ -91,16 +84,6 @@ impl JobSpec {
             None => false,
             Some(p) => p.as_bool().ok_or("`probe` must be a bool")?,
         };
-        let hosts = match v.get("hosts") {
-            None => None,
-            Some(h) => {
-                let h = h.as_u64().ok_or("`hosts` must be a positive integer")?;
-                if h == 0 {
-                    return Err("`hosts` must be a positive integer".into());
-                }
-                Some(h as u32)
-            }
-        };
         let cache = match v.get("cache").and_then(Value::as_str) {
             None | Some("use") => CacheMode::Use,
             Some("bypass") => CacheMode::Bypass,
@@ -114,7 +97,6 @@ impl JobSpec {
             deadline_ms,
             retries,
             probe,
-            hosts,
             cache,
         })
     }
@@ -235,16 +217,15 @@ mod tests {
     }
 
     #[test]
-    fn hosts_is_a_serving_knob_not_a_cache_input() {
+    fn unknown_top_level_keys_are_ignored() {
+        // Older clients sent a top-level `hosts`; such a spec must still
+        // parse and key exactly like one without it.
         let a = JobSpec::from_value(&parse(r#"{"exp":"e","params":{"n":16}}"#).unwrap()).unwrap();
-        let b = JobSpec::from_value(&parse(r#"{"exp":"e","params":{"n":16},"hosts":8}"#).unwrap())
-            .unwrap();
-        assert_eq!(a.hosts, None);
-        assert_eq!(b.hosts, Some(8));
-        assert_eq!(a.key(2), b.key(2), "hosts must not change the cache key");
-        assert_eq!(a.canonical_params(), b.canonical_params());
-        for bad in [r#"{"exp":"e","hosts":0}"#, r#"{"exp":"e","hosts":"four"}"#] {
-            assert!(JobSpec::from_value(&parse(bad).unwrap()).is_err(), "{bad}");
+        for extra in [r#""hosts":8"#, r#""hosts":0"#, r#""hosts":"four""#] {
+            let line = format!(r#"{{"exp":"e","params":{{"n":16}},{extra}}}"#);
+            let b = JobSpec::from_value(&parse(&line).unwrap()).unwrap();
+            assert_eq!(a.key(2), b.key(2), "{line}");
+            assert_eq!(a.canonical_params(), b.canonical_params());
         }
     }
 

@@ -158,6 +158,10 @@ pub struct ServerConfig {
     pub max_records: usize,
 }
 
+/// Default [`ServerConfig::max_records`]; the router's terminal-record
+/// cap uses the same number.
+pub const DEFAULT_MAX_RECORDS: usize = 1 << 16;
+
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
@@ -173,7 +177,7 @@ impl Default for ServerConfig {
             disk_write_delay_ms: 0,
             io_mode: IoMode::default(),
             max_conns: 4096,
-            max_records: 1 << 16,
+            max_records: DEFAULT_MAX_RECORDS,
         }
     }
 }
@@ -923,7 +927,9 @@ fn connection_loop<S: std::io::Read + Write>(sh: &Arc<Shared>, stream: S) {
     }
 }
 
-pub(crate) fn error_reply(msg: &str) -> String {
+/// The protocol's error reply line, `{"ok":false,"error":"<msg>"}`
+/// (shared with the router, which must answer in the same shape).
+pub fn error_reply(msg: &str) -> String {
     let mut out = String::from("{\"ok\":false,\"error\":");
     push_json_str(&mut out, msg);
     out.push('}');
@@ -1199,8 +1205,9 @@ const DEFAULT_WAIT_TIMEOUT_MS: u64 = 30_000;
 pub(crate) const MAX_WAIT_TIMEOUT_MS: u64 = 600_000;
 
 /// Parse a `wait` request: `{"op":"wait","ids":[..],"timeout_ms":N}`.
-/// Returns the watched ids and the clamped timeout.
-pub(crate) fn parse_wait(v: &Value) -> Result<(Vec<u64>, u64), String> {
+/// Returns the watched ids and the clamped timeout. The router parses
+/// its `wait` verb with this too, so the limits live here only.
+pub fn parse_wait(v: &Value) -> Result<(Vec<u64>, u64), String> {
     let Some(ids_v) = v.get("ids").and_then(Value::as_arr) else {
         return Err("wait needs an `ids` array".into());
     };

@@ -7,7 +7,7 @@
 //! modules can *reach*. This crate lexes and item-parses every source
 //! file (no rustc, no deps), builds a resolved-name call graph, and
 //! propagates determinism and blocking taints through it, so a helper
-//! three hops away from `pdes_window.rs` is flagged without any path
+//! three hops away from `pdes.rs` is flagged without any path
 //! allowlist. A static lock-acquisition-order graph (Tarjan SCC) mirrors
 //! bfly-san's dynamic one and is cross-checked against san's exported
 //! `lock_graph` section.
@@ -56,8 +56,6 @@ pub struct Config {
     pub det_root_files: Vec<String>,
     /// Determinism-critical root prefixes (the `pdes*` executor family).
     pub det_root_prefixes: Vec<String>,
-    /// Files whose `thread::` use is sanctioned (the PDES worker pool).
-    pub spawn_sanctioned_files: Vec<String>,
     /// Blocking-taint root files (reactor callbacks).
     pub blocking_root_files: Vec<String>,
     /// `// SAFETY:` adjacency window in lines.
@@ -75,7 +73,6 @@ impl Config {
             no_spawn_files: Vec::new(),
             det_root_files: Vec::new(),
             det_root_prefixes: Vec::new(),
-            spawn_sanctioned_files: Vec::new(),
             blocking_root_files: Vec::new(),
             safety_window: 5,
             deps: BTreeMap::new(),
@@ -107,7 +104,6 @@ impl Config {
                 "crates/bench/src/snapshot.rs",
             ]),
             det_root_prefixes: v(&["crates/sim/src/pdes"]),
-            spawn_sanctioned_files: v(&["crates/sim/src/pdes_pool.rs"]),
             blocking_root_files: v(&["crates/farmd/src/reactor.rs"]),
             safety_window: 5,
             deps: BTreeMap::new(),
@@ -189,17 +185,12 @@ pub fn analyze(files: &[SourceFile], cfg: &Config) -> Report {
             .or_insert_with(|| e.clone());
     };
 
-    // --- filter taint sources (sanctions + exemptions) --------------------
+    // --- filter taint sources (exemptions) ---------------------------------
     let mut sources: Vec<Vec<SourceHit>> = Vec::with_capacity(fns.len());
     for f in &fns {
         let label = &metas[f.file].label;
         let mut kept = Vec::new();
         for h in &f.sources {
-            if h.kind == TaintKind::ThreadSpawn
-                && cfg.spawn_sanctioned_files.iter().any(|s| s == label)
-            {
-                continue; // the sanctioned PDES worker pool
-            }
             let check = if h.kind.is_determinism() {
                 "determinism"
             } else {
@@ -591,7 +582,7 @@ mod tests {
     fn end_to_end_transitive_determinism_finding() {
         let files = vec![
             sf(
-                "crates/sim/src/pdes_window.rs",
+                "crates/sim/src/pdes.rs",
                 "pub fn advance() { util_step(); }\n",
             ),
             sf(
@@ -614,7 +605,7 @@ mod tests {
     fn exemption_at_source_kills_the_chain() {
         let files = vec![
             sf(
-                "crates/sim/src/pdes_window.rs",
+                "crates/sim/src/pdes.rs",
                 "pub fn advance() { util_step(); }\n",
             ),
             sf(
@@ -631,27 +622,31 @@ mod tests {
     }
 
     #[test]
-    fn sanctioned_pool_spawn_is_clean_but_other_spawn_is_not() {
+    fn any_spawn_reachable_from_a_pdes_root_is_a_finding() {
+        // No file is sanctioned: a spawn inside any `pdes*` file and one
+        // a call hop outside them are both findings.
         let files = vec![
+            sf("crates/sim/src/pdes.rs", "pub fn run() { helper(); }\n"),
             sf(
-                "crates/sim/src/pdes.rs",
-                "pub fn run() { pool_go(); rogue(); }\n",
-            ),
-            sf(
-                "crates/sim/src/pdes_pool.rs",
-                "pub fn pool_go() { std::thread::spawn(f); }\n",
+                "crates/sim/src/pdes_snap.rs",
+                "pub fn restore() { std::thread::Builder::new(); }\n",
             ),
             sf(
                 "crates/sim/src/other.rs",
-                "pub fn rogue() { std::thread::spawn(f); }\n",
+                "pub fn helper() { std::thread::spawn(f); }\n",
             ),
         ];
         let mut cfg = Config::bare();
         cfg.det_root_prefixes = vec!["crates/sim/src/pdes".into()];
-        cfg.spawn_sanctioned_files = vec!["crates/sim/src/pdes_pool.rs".into()];
         let rep = analyze(&files, &cfg);
-        assert_eq!(rep.errors(), 1, "{}", rep.render_text());
-        assert_eq!(rep.findings[0].file, "crates/sim/src/other.rs");
+        assert_eq!(rep.errors(), 2, "{}", rep.render_text());
+        let mut files: Vec<&str> = rep.findings.iter().map(|f| f.file.as_str()).collect();
+        files.sort_unstable();
+        assert_eq!(
+            files,
+            ["crates/sim/src/other.rs", "crates/sim/src/pdes_snap.rs"]
+        );
+        assert!(rep.findings.iter().all(|f| f.check == "determinism"));
     }
 
     #[test]

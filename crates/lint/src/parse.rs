@@ -18,7 +18,7 @@ pub enum TaintKind {
     WallClock,
     /// `HashMap` / `HashSet` — randomized iteration order.
     HashContainer,
-    /// `thread::spawn` / `thread::Builder` — unsanctioned executors.
+    /// `thread::spawn` / `thread::Builder` — host-thread executors.
     ThreadSpawn,
     /// `RandomState`, `thread_rng`, `from_entropy` — ambient randomness.
     Randomness,

@@ -1,8 +1,8 @@
 //! # Machine → PDES mapping: topology-derived lookahead and latencies.
 //!
-//! The conservative PDES executor (`bfly_sim::pdes_window`) needs one
-//! number from the machine model: the **lookahead**, the minimum virtual
-//! latency of any cross-node interaction. On the Butterfly that is the
+//! The PDES engine (`bfly_sim::pdes`) needs one number from the machine
+//! model: the **lookahead**, the minimum virtual latency of any
+//! cross-node interaction, which sizes its calendar-queue buckets. On the Butterfly that is the
 //! unloaded remote word reference — every remote access traverses the
 //! full switch (`stages` 4×4 stages each way), so no message between
 //! distinct nodes can land sooner than

@@ -27,9 +27,7 @@
 pub mod exec;
 pub mod fault;
 pub mod pdes;
-pub mod pdes_pool;
 pub mod pdes_snap;
-pub mod pdes_window;
 pub mod resource;
 pub mod rng;
 pub mod snap;
@@ -57,16 +55,15 @@ pub const ENGINE_VERSION: u32 = 2;
 
 /// Layout version of the PDES snapshot sections (`pdes*`), bumped when
 /// the PDES wire format changes. Orthogonal to [`ENGINE_VERSION`]: the
-/// PDES determinism contract (serial ≡ windowed-parallel for every seed,
-/// host count and window size) is part of the engine contract, so a
-/// change to PDES *results* bumps `ENGINE_VERSION`; a change that only
-/// reshapes snapshot bytes bumps this.
+/// PDES determinism contract (same seed, same bits, across any
+/// snapshot/restore cut) is part of the engine contract, so a change to
+/// PDES *results* bumps `ENGINE_VERSION`; a change that only reshapes
+/// snapshot bytes bumps this.
 pub const PDES_VERSION: u32 = 1;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultSpec};
 pub use pdes::{
     Ctx as PdesCtx, Event as PdesEvent, LogRec, PdesNode, PdesNodeId, PdesSim, PdesStats,
 };
-pub use pdes_window::{part_bounds, partition_of};
 pub use resource::{Resource, ResourceGuard, ResourceStats};
 pub use rng::SplitMix64;
 pub use sync::{Channel, Gate, Promise, PromiseHandle, WaitQueue};

@@ -1,45 +1,37 @@
-//! # Conservative parallel discrete-event simulation (PDES) core.
+//! # Conservative discrete-event simulation (PDES) core.
 //!
-//! ROADMAP item 2: partition simulated nodes across *host* worker threads
-//! and synchronize with fixed time windows whose size never exceeds the
+//! A model is a fixed set of [`PdesNode`] state machines exchanging
+//! timestamped [`Event`]s; this module holds the event identity, the node
+//! behaviour trait, the calendar-queue executor, state digests and the
+//! instrumentation log. Cross-node messages must respect the
 //! **lookahead** — the minimum latency of any cross-node message, derived
-//! from the switch topology (`bfly_machine::pdes_map`). This module holds
-//! everything that is *engine-shape independent*: the event identity, the
-//! node behaviour trait, the serial reference executor, state digests and
-//! the instrumentation log. The windowed parallel executor lives in
-//! [`crate::pdes_window`]; host-thread primitives live only in the
-//! sanctioned pool [`crate::pdes_pool`] (xtask lint check 7 enforces this
-//! split, plus a wall-clock and `HashMap`-iteration ban for all three).
+//! from the switch topology (`bfly_machine::pdes_map`) — and the event
+//! queue's bucket layout is built on that contract (see [`EventQueue`]).
+//! xtask lint check 7 bans wall-clock reads, host-thread spawns and
+//! `HashMap` iteration from every `pdes*` module and everything they
+//! reach.
 //!
 //! ## Determinism contract
 //!
-//! A PDES model is a fixed set of [`PdesNode`] state machines exchanging
-//! timestamped [`Event`]s. The engine guarantees: **for a given seed the
-//! final node states, per-node event sequences, statistics, digests and
-//! instrumentation logs are bit-identical no matter how many host workers
-//! execute the run** (`--hosts 1` ≡ `--hosts N`), and identical to the
-//! serial reference executor in this file. The argument:
+//! **For a given seed the final node states, per-node event sequences,
+//! statistics, digests and instrumentation logs are bit-identical on
+//! every run**, and a run cut at any virtual time, snapshotted, restored
+//! and finished lands on the same bits as an uninterrupted one. The
+//! argument:
 //!
 //! 1. Every event carries the identity `(at, src, src_seq)` where
 //!    `src_seq` is a per-source counter. Identities are unique, and they
-//!    are assigned *by the sending node's own deterministic execution*, so
-//!    they do not depend on host scheduling.
+//!    are assigned *by the sending node's own deterministic execution*.
 //! 2. Each node consumes the events addressed to it in the total order
 //!    `(at, src, src_seq)`. A node is a pure function of (its state, its
 //!    event sequence, its own seeded RNG stream), so per-dst delivery
 //!    order fixes every node outcome.
-//! 3. The serial executor processes the global event set in exactly that
-//!    order via one binary heap. The windowed executor processes each
-//!    partition's events in that order per window; conservative windows
-//!    (`window ≤ lookahead`, cross-node delay ≥ lookahead, enforced by
-//!    [`Ctx::send`]) guarantee no event generated inside a window can be
-//!    *due* inside the same window, so barrier-deferred cross-partition
-//!    delivery never reorders any node's sequence. Induction over windows
-//!    gives serial ≡ parallel.
+//! 3. The executor delivers the global event set in exactly that order,
+//!    and a snapshot captures all of it as plain data (node words,
+//!    counters, RNG streams, pending events — see `pdes_snap.rs`).
 //!
-//! `tests/pdes_determinism.rs` proptests the theorem over random seeds ×
-//! worker counts × window sizes, including snapshot interchange between
-//! the two executors.
+//! `tests/pdes_determinism.rs` proptests mid-run snapshot/restore over
+//! seeds × cut points, and the byte-reproducibility of snapshots.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -51,7 +43,7 @@ pub type PdesNodeId = u32;
 
 /// Mix a run seed and a node id into the node's private RNG seed.
 /// SplitMix64 of the pair keeps streams statistically independent while
-/// staying a pure function of `(seed, node)` — never of partitioning.
+/// staying a pure function of `(seed, node)`.
 pub fn node_seed(seed: u64, node: PdesNodeId) -> u64 {
     let mut s = SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15u64.rotate_left(node % 63));
     s.next_u64() ^ ((node as u64) << 32 | node as u64)
@@ -104,11 +96,10 @@ impl PartialOrd for Event {
 }
 
 /// One instrumentation record, produced by a node handler through
-/// [`Ctx`]. Records are plain `Send` data: parallel workers accumulate
-/// them per node and [`PdesSim::drain_log`] merges them into one
-/// deterministic sequence, which the bench layer replays into the ambient
-/// `bfly_probe::Probe` / `bfly_san::Sanitizer` — giving byte-identical
-/// PROBE/SAN artifacts for any `--hosts` value.
+/// [`Ctx`]. Records accumulate per node and [`PdesSim::drain_log`] merges
+/// them into one deterministic sequence, which the bench layer replays
+/// into the ambient `bfly_probe::Probe` / `bfly_san::Sanitizer` — giving
+/// byte-reproducible PROBE/SAN artifacts.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LogRec {
     /// A message left `from` for `to` carrying `bytes` payload bytes.
@@ -176,49 +167,17 @@ pub struct Ctx<'a> {
     lookahead: u64,
     seq: &'a mut u32,
     rng: &'a mut SplitMix64,
-    out: Sink<'a>,
+    /// New events go straight into the executor's queue.
+    out: &'a mut EventQueue,
     log: Option<&'a mut Vec<LogRec>>,
 }
 
-/// Where [`Ctx::send`] deposits new events. The serial executor hands the
-/// global queue over directly (skipping a buffer-and-drain round trip per
-/// event); the windowed executor buffers, because each send must then be
-/// routed to its destination partition.
-pub(crate) enum Sink<'a> {
-    Queue(&'a mut EventQueue),
-    Buf(&'a mut Vec<Event>),
-}
-
 impl<'a> Ctx<'a> {
-    /// Engine-internal constructor (the executors in this crate build one
-    /// per delivered event).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        now: u64,
-        me: PdesNodeId,
-        n_nodes: u32,
-        lookahead: u64,
-        seq: &'a mut u32,
-        rng: &'a mut SplitMix64,
-        out: Sink<'a>,
-        log: Option<&'a mut Vec<LogRec>>,
-    ) -> Ctx<'a> {
-        Ctx {
-            now,
-            me,
-            n_nodes,
-            lookahead,
-            seq,
-            rng,
-            out,
-            log,
-        }
-    }
-
     /// Schedule an event. Cross-node sends must respect the conservative
-    /// contract `delay ≥ lookahead` — the windowed executor's correctness
-    /// rests on it, so it is a hard panic, not a debug assert. Self-sends
-    /// (`dst == me`) may use any delay ≥ 0.
+    /// contract `delay ≥ lookahead` — the event queue's bucket width
+    /// rests on it (a send can never land in the bucket being drained),
+    /// so it is a hard panic, not a debug assert. Self-sends (`dst == me`)
+    /// may use any delay ≥ 0.
     pub fn send(&mut self, dst: PdesNodeId, delay: u64, kind: u16, a: u64, b: u64) {
         self.send_data(dst, delay, kind, a, b, &[]);
     }
@@ -253,10 +212,7 @@ impl<'a> Ctx<'a> {
             data: data.into(),
         };
         *self.seq += 1;
-        match &mut self.out {
-            Sink::Queue(q) => q.push(ev),
-            Sink::Buf(v) => v.push(ev),
-        }
+        self.out.push(ev);
     }
 
     /// The node's private deterministic RNG stream.
@@ -317,9 +273,10 @@ pub(crate) struct NodeRt {
     pub(crate) last_at: u64,
 }
 
-/// Aggregate run statistics. `PartialEq` covers every field — serial and
-/// parallel runs must agree exactly (wall time is measured by the bench
-/// layer, never here: these modules are wall-clock free by lint).
+/// Aggregate run statistics. `PartialEq` covers every field — a resumed
+/// run must agree exactly with a straight one (wall time is measured by
+/// the bench layer, never here: these modules are wall-clock free by
+/// lint).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct PdesStats {
     /// Events delivered by this run segment.
@@ -335,10 +292,10 @@ pub struct PdesStats {
 const EQ_RING: usize = 16;
 
 /// Priority queue of [`Event`]s keyed by `(at, src, src_seq)` — a
-/// calendar queue tuned to the conservative-sync contract.
+/// calendar queue whose bucket width depends on the lookahead assertion.
 ///
-/// Cross-node sends carry `delay >= lookahead` (asserted in
-/// [`Ctx::send`]), so with bucket width = lookahead a new event can never
+/// Cross-node sends carry `delay >= lookahead` (a hard panic in
+/// [`Ctx::send`]), so with bucket width ≤ lookahead a new event can never
 /// land in the bucket currently being drained: pushes append to a future
 /// bucket's `Vec` (sequential, O(1)) and each bucket is sorted exactly
 /// once when its turn comes — a 24-byte key sort plus one gather pass,
@@ -472,17 +429,6 @@ impl EventQueue {
         self.cursor = (self.cursor + 1) % EQ_RING;
     }
 
-    /// Delivery time of the earliest pending event.
-    pub(crate) fn peek_at(&mut self) -> Option<u64> {
-        self.refill();
-        let c = self.cur.last().map(|ev| ev.at);
-        let l = self.late.peek().map(|std::cmp::Reverse(ev)| ev.at);
-        match (c, l) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// Pop the earliest event if it is due before `cut`.
     pub(crate) fn pop_lt(&mut self, cut: u64) -> Option<Event> {
         self.refill();
@@ -533,29 +479,13 @@ impl EventQueue {
             .chain(self.ring.iter().flatten())
             .chain(self.far.iter().map(|r| &r.0))
     }
-
-    /// Remove and return every pending event, in arbitrary order.
-    pub(crate) fn drain(&mut self) -> Vec<Event> {
-        let mut out = Vec::with_capacity(self.len);
-        out.append(&mut self.cur);
-        out.extend(self.late.drain().map(|r| r.0));
-        for b in &mut self.ring {
-            out.append(b);
-        }
-        out.extend(self.far.drain().map(|r| r.0));
-        self.cursor = 0;
-        self.base = 0;
-        self.len = 0;
-        out
-    }
 }
 
 /// A PDES simulation instance: the node set plus pending events.
 ///
-/// Run it serially ([`PdesSim::run`] / [`PdesSim::run_until`]) or with the
-/// windowed parallel executor ([`PdesSim::run_parallel`], in
-/// `pdes_window.rs`); mix freely across a snapshot boundary — the state is
-/// engine-shape independent.
+/// Run it to completion ([`PdesSim::run`]) or in segments
+/// ([`PdesSim::run_until`]); a snapshot taken between segments restores
+/// into a fresh instance that finishes with the same bits.
 pub struct PdesSim {
     pub(crate) nodes: Vec<NodeRt>,
     pub(crate) pending: EventQueue,
@@ -569,8 +499,8 @@ pub struct PdesSim {
 }
 
 impl PdesSim {
-    /// Build a simulation. `lookahead` must be ≥ 1 (a zero lookahead
-    /// admits no parallel window).
+    /// Build a simulation. `lookahead` must be ≥ 1 (it sizes the event
+    /// queue's buckets).
     pub fn new(seed: u64, lookahead: u64, nodes: Vec<Box<dyn PdesNode>>) -> PdesSim {
         assert!(lookahead >= 1, "pdes: lookahead must be >= 1");
         assert!(!nodes.is_empty(), "pdes: at least one node required");
@@ -634,8 +564,8 @@ impl PdesSim {
         self.pending.len()
     }
 
-    /// Run node `init` hooks (idempotent; called by the executors).
-    pub(crate) fn ensure_init(&mut self) {
+    /// Run node `init` hooks (idempotent; called by the executor).
+    fn ensure_init(&mut self) {
         if self.inited {
             return;
         }
@@ -652,22 +582,21 @@ impl PdesSim {
                 lookahead,
                 seq: &mut rt.seq,
                 rng: &mut rt.rng,
-                out: Sink::Queue(&mut *pending),
+                out: &mut *pending,
                 log: record.then_some(&mut rt.log),
             };
             rt.node.init(&mut ctx);
         }
     }
 
-    /// Serial reference executor: run to completion.
+    /// Run to completion.
     pub fn run(&mut self) -> PdesStats {
         self.run_until(u64::MAX)
     }
 
-    /// Serial reference executor: deliver every event with `at < cut`,
-    /// then advance `now` to the cut. One global heap pops events in
-    /// `(at, src, src_seq)` order — the canonical order the parallel
-    /// executor must reproduce per node.
+    /// Deliver every event with `at < cut`, then advance `now` to the
+    /// cut. The queue pops events in the canonical `(at, src, src_seq)`
+    /// order.
     pub fn run_until(&mut self, cut: u64) -> PdesStats {
         self.ensure_init();
         let lookahead = self.lookahead;
@@ -686,7 +615,7 @@ impl PdesSim {
                 lookahead,
                 seq: &mut rt.seq,
                 rng: &mut rt.rng,
-                out: Sink::Queue(&mut *pending),
+                out: &mut *pending,
                 log: record.then_some(&mut rt.log),
             };
             rt.node.handle(&ev, &mut ctx);
@@ -707,7 +636,7 @@ impl PdesSim {
         }
     }
 
-    pub(crate) fn max_last_at(&self) -> u64 {
+    fn max_last_at(&self) -> u64 {
         self.nodes.iter().map(|rt| rt.last_at).max().unwrap_or(0)
     }
 
@@ -763,8 +692,8 @@ impl PdesSim {
 
     /// Merge and drain the instrumentation log into one deterministic
     /// sequence ordered by `(at, producing node, per-node index)`. Per-node
-    /// logs are identical for any executor (see module docs), and the merge
-    /// key is partition-free, so the result is too.
+    /// logs are fixed by the determinism contract (see module docs), so
+    /// the merged sequence is too.
     pub fn drain_log(&mut self) -> Vec<LogRec> {
         let mut tagged: Vec<(u64, PdesNodeId, u32, LogRec)> = Vec::new();
         for rt in self.nodes.iter_mut() {

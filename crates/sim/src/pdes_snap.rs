@@ -8,11 +8,10 @@
 //! re-encode proof: the restored simulation must re-snapshot to the exact
 //! bytes it was built from.
 //!
-//! Because the captured state is **engine-shape independent** (nothing in
-//! it mentions partitions, windows or host threads), a snapshot taken at
-//! a window boundary of a parallel run is byte-identical to one taken at
-//! the same virtual-time cut of a serial run, and either executor can
-//! resume it. `tests/pdes_determinism.rs` proptests both directions.
+//! The captured state is a pure function of `(model, seed, cut)`: two runs
+//! paused at the same virtual-time cut serialize to the same bytes, and a
+//! restored run finishes on the uninterrupted run's bits.
+//! `tests/pdes_determinism.rs` proptests both over seeds × cut points.
 //!
 //! Versioning: sections stamp [`crate::ENGINE_VERSION`] (the determinism
 //! contract the farm cache keys on) plus [`crate::PDES_VERSION`] for the
@@ -220,7 +219,7 @@ mod tests {
     use crate::pdes::tests::hot_ring;
 
     #[test]
-    fn snapshot_roundtrips_and_resumes_in_both_engines() {
+    fn snapshot_roundtrips_and_resumes() {
         let mut whole = hot_ring(9, 8, 300);
         let sw = whole.run();
 
@@ -230,28 +229,22 @@ mod tests {
         let bytes = snap.encode();
         let decoded = Snap::decode(&bytes).expect("decodes");
 
-        // Serial resume.
         let mut rs = PdesSim::restore(&decoded, || hot_ring(9, 8, 300)).expect("restores");
         assert_eq!(rs.snapshot().encode(), bytes);
         let st = rs.run();
         assert_eq!(st, sw);
         assert_eq!(rs.state_digest(), whole.state_digest());
-
-        // Parallel resume of the same snapshot.
-        let mut rp = PdesSim::restore(&decoded, || hot_ring(9, 8, 300)).expect("restores");
-        let sp = rp.run_parallel(4);
-        assert_eq!(sp, sw);
-        assert_eq!(rp.state_digest(), whole.state_digest());
     }
 
     #[test]
-    fn parallel_midrun_snapshot_equals_serial_midrun_snapshot() {
-        let mut serial = hot_ring(17, 12, 400);
-        serial.run_until(200_000);
-        let mut par = hot_ring(17, 12, 400);
-        par.run_parallel_until(4, 1000, 200_000);
-        assert_eq!(serial.snapshot().encode(), par.snapshot().encode());
-        assert_eq!(serial.state_hash(), par.state_hash());
+    fn same_cut_snapshots_are_byte_identical() {
+        let mut a = hot_ring(17, 12, 400);
+        a.run_until(200_000);
+        let mut b = hot_ring(17, 12, 400);
+        b.run_until(80_000);
+        b.run_until(200_000);
+        assert_eq!(a.snapshot().encode(), b.snapshot().encode());
+        assert_eq!(a.state_hash(), b.state_hash());
     }
 
     #[test]

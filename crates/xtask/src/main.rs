@@ -16,7 +16,7 @@
 //!    the daemon unwrap ban, the reactor thread ban, and — replacing the
 //!    old path-glob purity checks — *transitive* purity inference over
 //!    the workspace call graph: wall-clock reads, `HashMap`/`HashSet`,
-//!    ambient randomness, and unsanctioned `thread::spawn` reachable
+//!    ambient randomness, and any `thread::spawn` reachable
 //!    from the PDES/snapshot modules, plus blocking calls reachable from
 //!    reactor callbacks, are flagged wherever they live. The engine also
 //!    builds a static lock-acquisition-order graph and (with `--san`)

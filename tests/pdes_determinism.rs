@@ -1,20 +1,18 @@
-//! The parallel-in-time determinism contract (DESIGN.md §17): for any
-//! seed, any host worker count, and any window size `1..=lookahead`, the
-//! windowed-parallel PDES executor must produce **bit-identical** results
-//! to the serial one — final stats, per-node state digests, pending-event
-//! sets, and the merged instrumentation log. And the two engines must be
-//! interchangeable mid-run: a snapshot cut from a parallel execution
-//! restores into a serial finish (and vice versa) with the same bits as
-//! an uninterrupted run.
+//! The PDES snapshot contract (DESIGN.md §17): a run cut at any virtual
+//! time, snapshotted, restored into a fresh model and finished must land
+//! on the uninterrupted run's bits — final stats, state digest and the
+//! merged instrumentation log — and the snapshot taken at a given cut is
+//! the same bytes however the run reached it.
 //!
-//! Covered workloads: PHOLD (random cross-partition traffic — the
-//! stress case for the window exchange) and the T22 PDES gauss (long
-//! dependency chains through pivot broadcasts). Both are pure functions
-//! of their seeds, so every divergence is an executor bug, never noise.
+//! Covered workloads: PHOLD (random traffic spread over every node) and
+//! the T22 PDES gauss (long dependency chains through pivot broadcasts).
+//! Both are pure functions of their seeds, so every divergence is an
+//! engine or snapshot bug, never noise.
 
 use bfly_apps::pdes_gauss::{pdes_gauss_extract, pdes_gauss_sim};
 use bfly_apps::phold::phold_sim;
 use bfly_sim::pdes::PdesSim;
+use bfly_snap::Snap;
 use proptest::prelude::*;
 
 /// Everything the contract pins, extracted from a finished simulation.
@@ -35,126 +33,72 @@ fn fingerprint(sim: &mut PdesSim, stats: bfly_sim::pdes::PdesStats) -> Fingerpri
     }
 }
 
-fn run_serial(mut sim: PdesSim) -> Fingerprint {
-    sim.record_log(true);
-    let stats = sim.run();
-    fingerprint(&mut sim, stats)
-}
-
-fn run_parallel(mut sim: PdesSim, hosts: usize, window: u64) -> Fingerprint {
-    sim.record_log(true);
-    let stats = if window == 0 {
-        // Default window (= lookahead).
-        sim.run_parallel(hosts)
-    } else {
-        sim.run_parallel_until(hosts, window, u64::MAX)
-    };
-    fingerprint(&mut sim, stats)
+fn logged_phold(seed: u64) -> PdesSim {
+    let mut s = phold_sim(seed, 32, 2, 25, 4_000);
+    s.record_log(true);
+    s
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// PHOLD: random seeds x worker counts x window sizes. Every event
-    /// re-sends to an RNG-chosen node, so nearly every window crosses
-    /// partitions; any ordering bug in the exchange shows up in the
-    /// checksum digest immediately.
+    /// Cut → snapshot → encode/decode → restore → finish, at a quarter,
+    /// half and three quarters of the run, must equal the straight run.
     #[test]
-    fn phold_parallel_is_bit_identical(
+    fn midrun_snapshot_resume_matches_straight_run(
         seed in 0u64..1_000,
-        hosts_i in 0usize..4,
-        window_i in 0usize..5,
-    ) {
-        let hosts = [2usize, 3, 4, 8][hosts_i];
-        let window = [0u64, 1, 7, 500, 4_000][window_i];
-        let serial = run_serial(phold_sim(seed, 48, 3, 30, 4_000));
-        let par = run_parallel(phold_sim(seed, 48, 3, 30, 4_000), hosts, window);
-        prop_assert_eq!(serial, par, "hosts={}, window={}", hosts, window);
-    }
-
-    /// PDES gauss: the same sweep point must solve to the same bits on
-    /// any executor shape, including the full extracted result (virtual
-    /// time, message counts, back-substituted solution error).
-    #[test]
-    fn gauss_parallel_is_bit_identical(
-        seed in 0u64..1_000,
-        hosts_i in 0usize..4,
-    ) {
-        let hosts = [2usize, 3, 4, 8][hosts_i];
-        let mut a = pdes_gauss_sim(6, 20, seed, 64);
-        a.run();
-        let ra = pdes_gauss_extract(&a, 6, 20);
-        let mut b = pdes_gauss_sim(6, 20, seed, 64);
-        b.run_parallel(hosts);
-        let rb = pdes_gauss_extract(&b, 6, 20);
-        prop_assert_eq!(ra, rb, "hosts={}", hosts);
-        prop_assert_eq!(a.state_digest(), b.state_digest());
-    }
-
-    /// Engine interchange: cut a parallel run mid-window, snapshot,
-    /// restore, finish serially — and the mirror image (serial cut,
-    /// parallel finish). Both must land on the uninterrupted run's bits.
-    #[test]
-    fn midrun_snapshots_swap_engines(
-        seed in 0u64..1_000,
-        hosts_i in 0usize..3,
         cut_frac in 1u64..4,
     ) {
-        let hosts = [2usize, 3, 8][hosts_i];
-        let straight = run_serial(phold_sim(seed, 32, 2, 25, 4_000));
+        let mut whole = logged_phold(seed);
+        let stats = whole.run();
+        let straight = fingerprint(&mut whole, stats);
         let cut = straight.end_time * cut_frac / 4;
 
-        // Parallel prefix -> snapshot -> serial finish.
-        let mut par = phold_sim(seed, 32, 2, 25, 4_000);
-        par.record_log(true);
-        par.run_parallel_until(hosts, 4_000, cut);
-        let snap = par.snapshot();
-        let mut resumed = PdesSim::restore(&snap, || {
-            let mut s = phold_sim(seed, 32, 2, 25, 4_000);
-            s.record_log(true);
-            s
-        }).expect("parallel-cut snapshot restores");
-        // The restored prefix log lives in the donor; splice it back so
-        // the merged log covers the whole run.
-        // The restored engine carries the prefix event count; the prefix
-        // *log* stayed in the donor sim, so splice the two halves before
-        // comparing against the uninterrupted log.
+        let mut prefix = logged_phold(seed);
+        prefix.run_until(cut);
+        let bytes = prefix.snapshot().encode();
+        let snap = Snap::decode(&bytes).expect("snapshot decodes");
+        let mut resumed = PdesSim::restore(&snap, || logged_phold(seed))
+            .expect("mid-run snapshot restores");
         let stats = resumed.run();
         let mut fp = fingerprint(&mut resumed, stats);
-        let mut full_log = par.drain_log();
+        // The prefix log stayed in the donor sim; splice the two halves
+        // before comparing against the uninterrupted log.
+        let mut full_log = prefix.drain_log();
         full_log.append(&mut fp.log);
         fp.log = full_log;
-        prop_assert_eq!(&straight.digest, &fp.digest, "hosts={}", hosts);
-        prop_assert_eq!(&straight.events, &fp.events);
-        prop_assert_eq!(&straight.end_time, &fp.end_time);
-        prop_assert_eq!(&straight.log, &fp.log);
+        prop_assert_eq!(&straight, &fp, "cut={}", cut);
 
-        // Serial prefix -> snapshot -> parallel finish.
-        let mut ser = phold_sim(seed, 32, 2, 25, 4_000);
-        ser.run_until(cut);
-        let snap = ser.snapshot();
-        let mut resumed = PdesSim::restore(&snap, || phold_sim(seed, 32, 2, 25, 4_000))
-            .expect("serial-cut snapshot restores");
-        resumed.run_parallel(hosts);
-        prop_assert_eq!(straight.digest, resumed.state_digest(), "hosts={}", hosts);
+        // PDES gauss: the full extracted result (virtual time, message
+        // counts, back-substituted solution error) survives the cut too.
+        let mut g = pdes_gauss_sim(6, 20, seed, 64);
+        g.run();
+        let want = pdes_gauss_extract(&g, 6, 20);
+        let mut gp = pdes_gauss_sim(6, 20, seed, 64);
+        gp.run_until(want.time_ns * cut_frac / 4);
+        let mut gr = PdesSim::restore(&gp.snapshot(), || pdes_gauss_sim(6, 20, seed, 64))
+            .expect("gauss snapshot restores");
+        gr.run();
+        prop_assert_eq!(want, pdes_gauss_extract(&gr, 6, 20));
     }
 }
 
-/// The same-cut snapshot is engine-shape independent: pausing a serial
-/// run at time `t` and pausing a parallel run at time `t` must serialize
-/// to byte-identical snapshots (modulo nothing — the bytes are compared).
+/// The snapshot at a given cut is reproducible byte for byte: two
+/// independent runs, and a run that reached the cut in several
+/// segments, serialize to the same bytes.
 #[test]
-fn same_cut_snapshots_are_byte_identical_across_engines() {
-    for (hosts, window) in [(2usize, 4_000u64), (3, 1_000), (8, 1)] {
-        let cut = 60_000;
-        let mut ser = phold_sim(5, 24, 2, 20, 4_000);
-        ser.run_until(cut);
-        let mut par = phold_sim(5, 24, 2, 20, 4_000);
-        par.run_parallel_until(hosts, window, cut);
-        assert_eq!(
-            ser.snapshot().encode(),
-            par.snapshot().encode(),
-            "hosts={hosts} window={window}"
-        );
+fn same_cut_snapshots_are_byte_identical() {
+    for cut in [1u64, 20_000, 60_000, 250_000] {
+        let mut a = phold_sim(5, 24, 2, 20, 4_000);
+        a.run_until(cut);
+        let mut b = phold_sim(5, 24, 2, 20, 4_000);
+        b.run_until(cut);
+        let mut c = phold_sim(5, 24, 2, 20, 4_000);
+        c.run_until(cut / 3);
+        c.run_until(cut / 2);
+        c.run_until(cut);
+        let bytes = a.snapshot().encode();
+        assert_eq!(bytes, b.snapshot().encode(), "cut={cut}");
+        assert_eq!(bytes, c.snapshot().encode(), "segmented, cut={cut}");
     }
 }
